@@ -21,6 +21,7 @@
 //!
 //! Run with `cargo run --release -p rabit-bench --bin hotpath`.
 
+use rabit_bench::alloc::allocations;
 use rabit_bench::report::render_table;
 use rabit_buginject::RabitStage;
 use rabit_core::TrajectoryValidator;
@@ -28,40 +29,10 @@ use rabit_devices::{ActionKind, Command, DeviceId, DeviceState, LabState, StateK
 use rabit_testbed::{workflows, Testbed};
 use rabit_tracer::Tracer;
 use rabit_util::Json;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// A pass-through allocator that counts allocation calls, so the bench
-/// can report allocations per command on the hot path.
-struct CountingAlloc;
-
-static ALLOCATION_COUNT: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to the system allocator; the counter is a
-// relaxed atomic with no further invariants.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATION_COUNT.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATION_COUNT.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATION_COUNT.load(Ordering::Relaxed)
-}
+static ALLOC: rabit_bench::alloc::CountingAlloc = rabit_bench::alloc::CountingAlloc;
 
 // ---------------------------------------------------------------------
 // 1. Rule dispatch

@@ -18,6 +18,7 @@
 //!
 //! Run with `cargo run --release -p rabit-bench --bin rad_mining`.
 
+use rabit_bench::alloc::{peak_bytes, reset_peak};
 use rabit_bench::report::render_table;
 use rabit_bench::schema::{write_artifact_with_kind, RAD_MIN_COMMANDS};
 use rabit_core::{Lab, Stage, Substrate};
@@ -31,66 +32,10 @@ use rabit_rulebase::{DeviceCatalog, DeviceMeta, Rulebase, RulebaseSnapshot, Tena
 use rabit_service::RuleStore;
 use rabit_tracer::{run_fleet_on_live, Workflow};
 use rabit_util::Json;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// A pass-through allocator that tracks *live* bytes and their
-/// high-water mark, so the bench can assert the streaming path never
-/// holds more than a bounded working set (i.e. no corpus Vec hides
-/// behind the iterator).
-struct CountingAlloc;
-
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn note_alloc(size: usize) {
-    let live = LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-}
-
-fn note_dealloc(size: usize) {
-    LIVE_BYTES.fetch_sub(size as u64, Ordering::Relaxed);
-}
-
-// SAFETY: delegates verbatim to the system allocator; the counters are
-// relaxed atomics with no further invariants.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note_dealloc(layout.size());
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_dealloc(layout.size());
-        note_alloc(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn live_bytes() -> u64 {
-    LIVE_BYTES.load(Ordering::Relaxed)
-}
-
-/// Resets the high-water mark to the current live level, returning the
-/// baseline for a measured phase.
-fn reset_peak() -> u64 {
-    let live = live_bytes();
-    PEAK_BYTES.store(live, Ordering::Relaxed);
-    live
-}
-
-fn peak_bytes() -> u64 {
-    PEAK_BYTES.load(Ordering::Relaxed)
-}
+static ALLOC: rabit_bench::alloc::CountingAlloc = rabit_bench::alloc::CountingAlloc;
 
 /// The streaming phase may not retain more than this above its baseline
 /// (one session in flight + miner counters + decay bookkeeping). A

@@ -176,6 +176,11 @@ pub struct Rabit {
     config: RabitConfig,
     validator: Option<Box<dyn TrajectoryValidator>>,
     current: LabState,
+    /// Scratch `S_expected`, built in place each command and then
+    /// swapped with `current`, so the two trade buffers.
+    expected: LabState,
+    /// Scratch `S_actual`, refilled by every state fetch.
+    actual: LabState,
     overhead_s: f64,
     fault_plan: FaultPlan,
     quarantined: BTreeSet<DeviceId>,
@@ -204,6 +209,8 @@ impl Rabit {
             config,
             validator: None,
             current: LabState::new(),
+            expected: LabState::new(),
+            actual: LabState::new(),
             overhead_s: 0.0,
             fault_plan: FaultPlan::none(),
             quarantined: BTreeSet::new(),
@@ -349,11 +356,11 @@ impl Rabit {
             lab.arm_faults(self.fault_plan.session());
         }
         let before = lab.clock().now_s();
-        let reported = lab.fetch_state();
+        lab.fetch_state_into(&mut self.actual);
         self.overhead_s += lab.clock().now_s() - before;
         // Sensed variables overwrite beliefs; configured beliefs (see
         // [`Rabit::believe`]) survive initialization.
-        self.current.overlay(&reported);
+        self.current.overlay(&self.actual);
         &self.current
     }
 
@@ -502,7 +509,7 @@ impl Rabit {
     #[allow(clippy::result_large_err)]
     fn execute_and_verify(&mut self, lab: &mut Lab, command: &Command) -> Result<(), Alert> {
         // Line 11: S_expected.
-        let expected = transition::expected_state(&self.catalog, &self.current, command);
+        transition::expected_state_into(&self.catalog, &self.current, command, &mut self.expected);
 
         // Line 12: execute.
         if let Err(error) = lab.apply(command) {
@@ -515,16 +522,15 @@ impl Rabit {
         // Lines 13-16: fetch S_actual, compare, commit. Devices only
         // report the variables they can sense; believed variables (vial
         // contents, containment) are rolled forward from the expectation.
+        // The comparison and the roll-forward are one merge walk over
+        // S_expected, which then becomes S_current.
         let before = lab.clock().now_s();
-        let actual = lab.fetch_state();
+        lab.fetch_state_into(&mut self.actual);
         self.overhead_s += lab.clock().now_s() - before;
-        let diffs = if self.config.skip_malfunction_check {
-            Vec::new()
-        } else {
-            expected.diff_reported(&actual, self.config.state_tolerance)
-        };
-        self.current = expected;
-        self.current.overlay(&actual);
+        let tolerance =
+            (!self.config.skip_malfunction_check).then_some(self.config.state_tolerance);
+        let diffs = self.expected.overlay_diff(&self.actual, tolerance);
+        std::mem::swap(&mut self.current, &mut self.expected);
         if !diffs.is_empty() {
             return Err(Alert::DeviceMalfunction {
                 command: command.clone(),
@@ -1123,6 +1129,126 @@ mod tests {
         assert_eq!(r.recovery_counters().safe_stops, 1);
         let arm = lab.device(&"arm".into()).unwrap().as_arm().unwrap();
         assert!(arm.at_sleep(), "safe-stop must park the arm");
+    }
+
+    /// A lab whose device ids all differ from [`lab`]'s and which has one
+    /// device more, so each of its sorted positions names another device.
+    fn other_lab() -> Lab {
+        Lab::new()
+            .with_device(RobotArm::new(
+                "arm_b",
+                Vec3::new(-0.3, 0.0, 0.3),
+                Vec3::new(-0.1, 0.3, 0.2),
+            ))
+            .with_device(rabit_devices::Hotplate::new(
+                "hp",
+                Aabb::new(Vec3::new(0.6, 0.6, 0.0), Vec3::new(0.8, 0.8, 0.1)),
+            ))
+            .with_device(rabit_devices::SyringePump::new(
+                "pump",
+                Aabb::new(Vec3::new(-0.8, 0.6, 0.0), Vec3::new(-0.6, 0.8, 0.2)),
+            ))
+            .with_device(Vial::new("vial_b", Vec3::new(-0.5, -0.5, 0.05)))
+    }
+
+    fn other_workflow() -> Vec<Command> {
+        vec![
+            Command::new(
+                "arm_b",
+                ActionKind::MoveToLocation {
+                    target: Vec3::new(-0.4, 0.1, 0.4),
+                },
+            ),
+            Command::new("arm_b", ActionKind::CloseGripper),
+            Command::new("arm_b", ActionKind::OpenGripper),
+            Command::new("arm_b", ActionKind::MoveToSleep),
+        ]
+    }
+
+    fn door_workflow() -> Vec<Command> {
+        vec![
+            Command::new("doser", ActionKind::SetDoor { open: true }),
+            Command::new(
+                "arm",
+                ActionKind::MoveInsideDevice {
+                    device: "doser".into(),
+                },
+            ),
+            Command::new("arm", ActionKind::MoveOutOfDevice),
+            Command::new("doser", ActionKind::SetDoor { open: false }),
+        ]
+    }
+
+    fn reuse_engine() -> Rabit {
+        let catalog = catalog()
+            .with(
+                DeviceMeta::new("arm_b", DeviceType::RobotArm)
+                    .with_arm_positions(Vec3::new(-0.3, 0.0, 0.3), Vec3::new(-0.1, 0.3, 0.2)),
+            )
+            .with(DeviceMeta::new("hp", DeviceType::ActionDevice).with_threshold(340.0))
+            .with(DeviceMeta::new("pump", DeviceType::DosingSystem))
+            .with(DeviceMeta::new("vial_b", DeviceType::Container));
+        let config = RabitConfig {
+            state_tolerance: 0.01,
+            ..RabitConfig::default()
+        };
+        Rabit::new(Rulebase::standard(), catalog, config)
+    }
+
+    /// Runs `workflow` on a new `make_lab()` with `engine` and on a twin
+    /// lab with a fresh engine, both under `plan`, and checks that the
+    /// engine's verdicts equal the fresh one's and that its state is the
+    /// fresh engine's view of this lab plus its untouched beliefs about
+    /// the devices of earlier labs.
+    fn run_like_a_fresh_engine(
+        engine: &mut Rabit,
+        make_lab: fn() -> Lab,
+        workflow: &[Command],
+        plan: &FaultPlan,
+    ) -> Option<Alert> {
+        let (mut lab, mut twin) = (make_lab(), make_lab());
+        lab.arm_faults(plan.session());
+        twin.arm_faults(plan.session());
+        let mut fresh = reuse_engine();
+        let mut expected = engine.current_state().clone();
+        let got = engine.run(&mut lab, workflow);
+        let want = fresh.run(&mut twin, workflow);
+        assert_eq!(got.alert, want.alert);
+        assert_eq!(got.executed, want.executed);
+        for (id, state) in fresh.current_state().iter() {
+            expected.insert(id.clone(), state.clone());
+        }
+        assert_eq!(engine.current_state(), &expected);
+        got.alert
+    }
+
+    #[test]
+    fn reused_engine_matches_fresh_engines_across_device_sets_and_faults() {
+        let every = |period| FaultSchedule::EveryNth { period, offset: 0 };
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::seeded(2).with(FaultKind::StaleState, every(2)),
+            FaultPlan::seeded(3).with(FaultKind::NoisyState { sigma: 1e-3 }, every(1)),
+        ];
+        let mut stale_alerts = 0;
+        for plan in &plans {
+            // One engine through a lab, a lab with other device ids and
+            // one device more, and the first lab again, each time under
+            // the plan.
+            let mut engine = reuse_engine();
+            let clean = engine.run(&mut lab(), &door_workflow());
+            assert!(clean.completed(), "{:?}", clean.alert);
+            for (make_lab, workflow) in [
+                (other_lab as fn() -> Lab, other_workflow()),
+                (lab as fn() -> Lab, door_workflow()),
+            ] {
+                let alert = run_like_a_fresh_engine(&mut engine, make_lab, &workflow, plan);
+                stale_alerts += usize::from(alert.is_some());
+            }
+        }
+        // The stale plan must actually raise alerts for the comparison to
+        // cover them; the other two runs complete.
+        assert_eq!(stale_alerts, 2);
     }
 
     #[test]

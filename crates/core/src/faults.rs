@@ -356,13 +356,13 @@ impl FaultSession {
         CommandFault::None
     }
 
-    /// Filters one fetched snapshot. Called exactly once per
-    /// `Lab::fetch_state` with the freshly-read state; returns what the
-    /// engine actually sees (possibly stale or noisy).
-    pub(crate) fn intercept_state(&mut self, fresh: LabState) -> LabState {
+    /// Filters one fetched snapshot in place. Called exactly once per
+    /// `Lab::fetch_state_into` with the freshly-read state; leaves what
+    /// the engine actually sees (possibly stale or noisy).
+    pub(crate) fn intercept_state(&mut self, out: &mut LabState) {
         let step = self.fetch_step;
         self.fetch_step += 1;
-        let mut out = fresh.clone();
+        let fresh = out.clone();
         for i in 0..self.specs.len() {
             let kind = self.specs[i].kind;
             if !kind.targets_state() {
@@ -378,7 +378,7 @@ impl FaultSession {
                         continue; // nothing older to serve yet
                     };
                     match &target {
-                        None => out = previous.clone(),
+                        None => out.clone_from(previous),
                         Some(device) => {
                             if let Some(old) = previous.device(device) {
                                 out.insert(device.clone(), old.clone());
@@ -410,7 +410,6 @@ impl FaultSession {
             }
         }
         self.previous = Some(fresh);
-        out
     }
 }
 
@@ -622,13 +621,15 @@ mod tests {
         let mut s1 = LabState::new();
         s1.set(&"hp".into(), rabit_devices::StateKey::ActionValue, 60.0);
         // First fetch: nothing older exists, served fresh.
-        let r0 = session.intercept_state(s0);
+        let mut r0 = s0;
+        session.intercept_state(&mut r0);
         assert_eq!(
             r0.get_number(&"hp".into(), &rabit_devices::StateKey::ActionValue),
             Some(20.0)
         );
         // Second fetch fires: the engine sees the old 20° reading.
-        let r1 = session.intercept_state(s1);
+        let mut r1 = s1;
+        session.intercept_state(&mut r1);
         assert_eq!(
             r1.get_number(&"hp".into(), &rabit_devices::StateKey::ActionValue),
             Some(20.0)
@@ -649,7 +650,8 @@ mod tests {
         let mut s = LabState::new();
         s.set(&"hp".into(), rabit_devices::StateKey::ActionValue, 50.0);
         s.set(&"hp".into(), rabit_devices::StateKey::DoorOpen, true);
-        let out = session.intercept_state(s);
+        let mut out = s;
+        session.intercept_state(&mut out);
         let t = out
             .get_number(&"hp".into(), &rabit_devices::StateKey::ActionValue)
             .unwrap();

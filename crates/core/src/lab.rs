@@ -303,16 +303,24 @@ impl Lab {
     /// cost of RABIT's ~0.03 s per-command overhead.
     pub fn fetch_state(&mut self) -> LabState {
         let mut state = LabState::new();
+        self.fetch_state_into(&mut state);
+        state
+    }
+
+    /// [`Lab::fetch_state`] into a reused snapshot: `out` is cleared and
+    /// refilled with exactly this lab's devices inside its existing
+    /// buffer, so a fetch allocates only the devices' own states.
+    pub fn fetch_state_into(&mut self, out: &mut LabState) {
+        out.clear();
         let mut status_time = 0.0;
         for (id, device) in &self.devices {
             let d = device.as_device();
             status_time += d.latency().status_s;
-            state.insert(id.clone(), d.fetch_state());
+            out.insert(id.clone(), d.fetch_state());
         }
         self.clock.advance(status_time);
-        match &mut self.faults {
-            Some(session) => session.intercept_state(state),
-            None => state,
+        if let Some(session) = &mut self.faults {
+            session.intercept_state(out);
         }
     }
 

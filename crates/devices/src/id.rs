@@ -1,10 +1,16 @@
 //! Device identity and the four-type taxonomy.
 use std::fmt;
+use std::sync::Arc;
 
 /// A unique device identifier (e.g. `"ur3e"`, `"dosing_device"`,
 /// `"vial_NW"`).
+///
+/// The name is shared behind an `Arc<str>`, so cloning an id (which
+/// every state snapshot, command and diff does) bumps a reference count
+/// instead of copying the string. Equality, ordering, hashing, display
+/// and JSON all go by the name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DeviceId(String);
+pub struct DeviceId(Arc<str>);
 
 impl DeviceId {
     /// Creates a device id.
@@ -15,7 +21,7 @@ impl DeviceId {
     pub fn new(name: impl Into<String>) -> Self {
         let name = name.into();
         assert!(!name.is_empty(), "device id must not be empty");
-        DeviceId(name)
+        DeviceId(name.into())
     }
 
     /// The id as a string slice.
@@ -88,7 +94,7 @@ impl fmt::Display for DeviceType {
 
 impl rabit_util::ToJson for DeviceId {
     fn to_json(&self) -> rabit_util::Json {
-        rabit_util::Json::Str(self.0.clone())
+        rabit_util::Json::Str(self.0.to_string())
     }
 }
 
@@ -98,7 +104,7 @@ impl rabit_util::FromJson for DeviceId {
         if s.is_empty() {
             return Err(rabit_util::JsonError::decode("device id must not be empty"));
         }
-        Ok(DeviceId(s))
+        Ok(DeviceId(s.into()))
     }
 }
 
@@ -116,6 +122,18 @@ mod tests {
         let c: DeviceId = String::from("ned2").into();
         assert_ne!(a, c);
         assert!(c < a); // lexicographic: "ned2" < "ur3e"
+    }
+
+    #[test]
+    fn clones_share_the_name() {
+        let a = DeviceId::new("ur3e");
+        let b = a.clone();
+        assert!(std::ptr::eq(a.as_str(), b.as_str()));
+        // Separately built ids with one name are equal and hash alike.
+        let d = DeviceId::new("ur3e");
+        assert_eq!(a, d);
+        let set: std::collections::HashSet<DeviceId> = [a, d].into_iter().collect();
+        assert_eq!(set.len(), 1);
     }
 
     #[test]

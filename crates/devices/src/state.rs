@@ -1,14 +1,37 @@
 //! Lab state snapshots: `S_current`, `S_expected`, `S_actual`.
+//!
+//! Both levels of a snapshot are vectors sorted by key: a lab is a
+//! `Vec<(DeviceId, DeviceState)>` sorted by id, a device a
+//! `Vec<(StateKey, Value)>` sorted by key. Lookups binary-search;
+//! iteration, JSON and diffs run in key order. Comparing or overlaying
+//! two snapshots is one merge walk over both, and [`Clone::clone_from`]
+//! rewrites a snapshot inside the buffers it already owns, so copying
+//! `S_current` into `S_expected` allocates only when the device or
+//! variable set grows.
 
 use crate::id::DeviceId;
 use crate::value::{StateKey, Value};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// The state of a single device: a map from state variable to value.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct DeviceState {
-    vars: BTreeMap<StateKey, Value>,
+    /// Sorted by key, keys unique.
+    vars: Vec<(StateKey, Value)>,
+}
+
+impl Clone for DeviceState {
+    fn clone(&self) -> Self {
+        DeviceState {
+            vars: self.vars.clone(),
+        }
+    }
+
+    /// Reuses this state's buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.vars.clone_from(&source.vars);
+    }
 }
 
 impl DeviceState {
@@ -19,18 +42,22 @@ impl DeviceState {
 
     /// Sets a state variable (builder style).
     pub fn with(mut self, key: StateKey, value: impl Into<Value>) -> Self {
-        self.vars.insert(key, value.into());
+        self.set(key, value);
         self
     }
 
     /// Sets a state variable.
     pub fn set(&mut self, key: StateKey, value: impl Into<Value>) {
-        self.vars.insert(key, value.into());
+        let value = value.into();
+        match self.find(&key) {
+            Ok(i) => self.vars[i].1 = value,
+            Err(i) => self.vars.insert(i, (key, value)),
+        }
     }
 
     /// Reads a state variable.
     pub fn get(&self, key: &StateKey) -> Option<&Value> {
-        self.vars.get(key)
+        self.find(key).ok().map(|i| &self.vars[i].1)
     }
 
     /// Convenience: reads a boolean variable.
@@ -51,7 +78,7 @@ impl DeviceState {
 
     /// Iterates over all `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&StateKey, &Value)> {
-        self.vars.iter()
+        self.vars.iter().map(|(k, v)| (k, v))
     }
 
     /// Number of state variables.
@@ -63,27 +90,90 @@ impl DeviceState {
     pub fn is_empty(&self) -> bool {
         self.vars.is_empty()
     }
+
+    fn find(&self, key: &StateKey) -> Result<usize, usize> {
+        self.vars.binary_search_by(|(k, _)| k.cmp(key))
+    }
+
+    /// Merge-walks `reported` into this state: each reported variable
+    /// overwrites (or adds) its value here. With `tol`, every reported
+    /// variable present here whose value it contradicts is first pushed
+    /// to `diffs` as a `(here, reported)` difference.
+    fn overlay_diff(
+        &mut self,
+        device: &DeviceId,
+        reported: &DeviceState,
+        tol: Option<f64>,
+        diffs: &mut Vec<StateDiff>,
+    ) {
+        let mut i = 0;
+        for (key, actual) in &reported.vars {
+            while i < self.vars.len() && self.vars[i].0 < *key {
+                i += 1;
+            }
+            match self.vars.get_mut(i) {
+                Some((k, expected)) if k == key => {
+                    if let Some(tol) = tol {
+                        if !expected.approx_eq(actual, tol) {
+                            diffs.push(StateDiff {
+                                device: device.clone(),
+                                key: key.clone(),
+                                left: Some(expected.clone()),
+                                right: Some(actual.clone()),
+                            });
+                        }
+                    }
+                    expected.clone_from(actual);
+                }
+                _ => self.vars.insert(i, (key.clone(), actual.clone())),
+            }
+            i += 1;
+        }
+    }
 }
 
 impl FromIterator<(StateKey, Value)> for DeviceState {
     fn from_iter<I: IntoIterator<Item = (StateKey, Value)>>(iter: I) -> Self {
-        DeviceState {
-            vars: iter.into_iter().collect(),
-        }
+        let mut state = DeviceState::new();
+        state.extend(iter);
+        state
     }
 }
 
 impl Extend<(StateKey, Value)> for DeviceState {
     fn extend<I: IntoIterator<Item = (StateKey, Value)>>(&mut self, iter: I) {
-        self.vars.extend(iter);
+        for (key, value) in iter {
+            self.set(key, value);
+        }
     }
 }
 
 /// A full lab snapshot: the state of every device. This is the `S` of the
 /// Fig. 2 algorithm.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct LabState {
-    devices: BTreeMap<DeviceId, DeviceState>,
+    /// Sorted by id, ids unique.
+    devices: Vec<(DeviceId, DeviceState)>,
+}
+
+impl Clone for LabState {
+    fn clone(&self) -> Self {
+        LabState {
+            devices: self.devices.clone(),
+        }
+    }
+
+    /// Reuses this snapshot's buffers, down to each device's variable
+    /// vector: copying an unchanged-shape snapshot allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.devices.truncate(source.devices.len());
+        let (shared, tail) = source.devices.split_at(self.devices.len());
+        for ((id, state), (source_id, source_state)) in self.devices.iter_mut().zip(shared) {
+            id.clone_from(source_id);
+            state.clone_from(source_state);
+        }
+        self.devices.extend_from_slice(tail);
+    }
 }
 
 impl LabState {
@@ -94,28 +184,39 @@ impl LabState {
 
     /// Inserts or replaces a device's state (builder style).
     pub fn with_device(mut self, id: impl Into<DeviceId>, state: DeviceState) -> Self {
-        self.devices.insert(id.into(), state);
+        self.insert(id, state);
         self
     }
 
     /// Inserts or replaces a device's state.
     pub fn insert(&mut self, id: impl Into<DeviceId>, state: DeviceState) {
-        self.devices.insert(id.into(), state);
+        let id = id.into();
+        match self.find(&id) {
+            Ok(i) => self.devices[i].1 = state,
+            Err(i) => self.devices.insert(i, (id, state)),
+        }
     }
 
     /// The state of one device.
     pub fn device(&self, id: &DeviceId) -> Option<&DeviceState> {
-        self.devices.get(id)
+        self.find(id).ok().map(|i| &self.devices[i].1)
     }
 
     /// Mutable access to one device's state (inserted empty if missing).
     pub fn device_mut(&mut self, id: &DeviceId) -> &mut DeviceState {
-        self.devices.entry(id.clone()).or_default()
+        let i = match self.find(id) {
+            Ok(i) => i,
+            Err(i) => {
+                self.devices.insert(i, (id.clone(), DeviceState::new()));
+                i
+            }
+        };
+        &mut self.devices[i].1
     }
 
     /// Reads one variable of one device.
     pub fn get(&self, id: &DeviceId, key: &StateKey) -> Option<&Value> {
-        self.devices.get(id).and_then(|d| d.get(key))
+        self.device(id).and_then(|d| d.get(key))
     }
 
     /// Convenience: boolean variable of a device.
@@ -140,12 +241,12 @@ impl LabState {
 
     /// All device ids in the snapshot, in order.
     pub fn device_ids(&self) -> impl Iterator<Item = &DeviceId> {
-        self.devices.keys()
+        self.devices.iter().map(|(id, _)| id)
     }
 
     /// Iterates over `(device, state)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&DeviceId, &DeviceState)> {
-        self.devices.iter()
+        self.devices.iter().map(|(id, state)| (id, state))
     }
 
     /// Number of devices.
@@ -158,6 +259,16 @@ impl LabState {
         self.devices.is_empty()
     }
 
+    fn find(&self, id: &DeviceId) -> Result<usize, usize> {
+        self.devices.binary_search_by(|(d, _)| d.cmp(id))
+    }
+
+    /// Removes every device, keeping the buffer for a refill (see
+    /// `Lab::fetch_state_into` in `rabit-core`).
+    pub fn clear(&mut self) {
+        self.devices.clear();
+    }
+
     /// Overlays `reported` on top of this snapshot: every variable a
     /// device actually reports overwrites the believed value; believed
     /// variables the devices cannot sense (vial contents, containment,
@@ -165,12 +276,32 @@ impl LabState {
     /// forward on Line 16 of the Fig. 2 algorithm in a lab where not
     /// every state variable has a sensor.
     pub fn overlay(&mut self, reported: &LabState) {
-        for (device, dstate) in reported.iter() {
-            let entry = self.device_mut(device);
-            for (key, value) in dstate.iter() {
-                entry.set(key.clone(), value.clone());
+        self.overlay_diff(reported, None);
+    }
+
+    /// [`LabState::diff_reported`] and [`LabState::overlay`] fused into
+    /// one merge walk: overlays `reported` and, with `tol`, returns the
+    /// differences the snapshot had against it *before* the overlay (an
+    /// empty vector without `tol`). This is Fig. 2, Lines 13-16 as the
+    /// engine runs them on `S_expected`.
+    pub fn overlay_diff(&mut self, reported: &LabState, tol: Option<f64>) -> Vec<StateDiff> {
+        let mut diffs = Vec::new();
+        let mut i = 0;
+        for (device, actual) in &reported.devices {
+            while i < self.devices.len() && self.devices[i].0 < *device {
+                i += 1;
             }
+            match self.devices.get_mut(i) {
+                Some((id, expected)) if id == device => {
+                    expected.overlay_diff(device, actual, tol, &mut diffs);
+                }
+                // Nothing believed about this device yet: nothing to
+                // contradict.
+                _ => self.devices.insert(i, (device.clone(), actual.clone())),
+            }
+            i += 1;
         }
+        diffs
     }
 
     /// Compares expected (`self`) against the *reported* snapshot,
@@ -181,15 +312,18 @@ impl LabState {
     /// spot behind the paper's undetected Bug-C class.
     pub fn diff_reported(&self, reported: &LabState, tol: f64) -> Vec<StateDiff> {
         let mut out = Vec::new();
-        for (device, dstate) in reported.iter() {
-            for (key, actual) in dstate.iter() {
-                if let Some(expected) = self.get(device, key) {
-                    if !expected.approx_eq(actual, tol) {
+        for (device, expected, actual) in merge(&self.devices, &reported.devices) {
+            let (Some(expected), Some(actual)) = (expected, actual) else {
+                continue;
+            };
+            for (key, e, a) in merge(&expected.vars, &actual.vars) {
+                if let (Some(e), Some(a)) = (e, a) {
+                    if !e.approx_eq(a, tol) {
                         out.push(StateDiff {
                             device: device.clone(),
                             key: key.clone(),
-                            left: Some(expected.clone()),
-                            right: Some(actual.clone()),
+                            left: Some(e.clone()),
+                            right: Some(a.clone()),
                         });
                     }
                 }
@@ -207,31 +341,17 @@ impl LabState {
     /// on only one side are reported with `None` for the missing side.
     pub fn diff(&self, other: &LabState, tol: f64) -> Vec<StateDiff> {
         let mut out = Vec::new();
-        let ids: std::collections::BTreeSet<&DeviceId> =
-            self.devices.keys().chain(other.devices.keys()).collect();
-        for id in ids {
-            let a = self.devices.get(id);
-            let b = other.devices.get(id);
-            let keys: std::collections::BTreeSet<&StateKey> = a
-                .map(|d| d.vars.keys().collect::<Vec<_>>())
-                .unwrap_or_default()
-                .into_iter()
-                .chain(
-                    b.map(|d| d.vars.keys().collect::<Vec<_>>())
-                        .unwrap_or_default(),
-                )
-                .collect();
-            for key in keys {
-                let va = a.and_then(|d| d.get(key));
-                let vb = b.and_then(|d| d.get(key));
+        for (device, a, b) in merge(&self.devices, &other.devices) {
+            let a = a.map_or(&[][..], |d| &d.vars[..]);
+            let b = b.map_or(&[][..], |d| &d.vars[..]);
+            for (key, va, vb) in merge(a, b) {
                 let equal = match (va, vb) {
                     (Some(x), Some(y)) => x.approx_eq(y, tol),
-                    (None, None) => true,
                     _ => false,
                 };
                 if !equal {
                     out.push(StateDiff {
-                        device: id.clone(),
+                        device: device.clone(),
                         key: key.clone(),
                         left: va.cloned(),
                         right: vb.cloned(),
@@ -243,11 +363,39 @@ impl LabState {
     }
 }
 
+/// Walks two key-sorted slices in one pass, yielding every key of either
+/// side in order, with its value on each side.
+fn merge<'a, K: Ord, A, B>(
+    left: &'a [(K, A)],
+    right: &'a [(K, B)],
+) -> impl Iterator<Item = (&'a K, Option<&'a A>, Option<&'a B>)> {
+    let (mut l, mut r) = (left.iter().peekable(), right.iter().peekable());
+    std::iter::from_fn(move || {
+        let order = match (l.peek(), r.peek()) {
+            (None, None) => return None,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((a, _)), Some((b, _))) => a.cmp(b),
+        };
+        Some(match order {
+            Ordering::Less => l.next().map(|(k, a)| (k, Some(a), None))?,
+            Ordering::Greater => r.next().map(|(k, b)| (k, None, Some(b)))?,
+            Ordering::Equal => {
+                let (k, a) = l.next()?;
+                let (_, b) = r.next()?;
+                (k, Some(a), Some(b))
+            }
+        })
+    })
+}
+
 impl FromIterator<(DeviceId, DeviceState)> for LabState {
     fn from_iter<I: IntoIterator<Item = (DeviceId, DeviceState)>>(iter: I) -> Self {
-        LabState {
-            devices: iter.into_iter().collect(),
+        let mut lab = LabState::new();
+        for (id, state) in iter {
+            lab.insert(id, state);
         }
+        lab
     }
 }
 
@@ -267,12 +415,12 @@ impl rabit_util::FromJson for DeviceState {
         let pairs = json.as_obj().ok_or_else(|| {
             rabit_util::JsonError::decode(format!("expected device state object, got {json}"))
         })?;
-        let mut vars = BTreeMap::new();
+        let mut state = DeviceState::new();
         for (k, v) in pairs {
             let key: StateKey = k.parse().expect("StateKey parsing is infallible");
-            vars.insert(key, Value::from_json(v)?);
+            state.set(key, Value::from_json(v)?);
         }
-        Ok(DeviceState { vars })
+        Ok(state)
     }
 }
 
@@ -292,11 +440,11 @@ impl rabit_util::FromJson for LabState {
         let pairs = json.as_obj().ok_or_else(|| {
             rabit_util::JsonError::decode(format!("expected lab state object, got {json}"))
         })?;
-        let mut devices = BTreeMap::new();
+        let mut lab = LabState::new();
         for (id, d) in pairs {
-            devices.insert(DeviceId::new(id.clone()), DeviceState::from_json(d)?);
+            lab.insert(DeviceId::new(id.clone()), DeviceState::from_json(d)?);
         }
-        Ok(LabState { devices })
+        Ok(lab)
     }
 }
 

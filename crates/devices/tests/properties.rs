@@ -3,9 +3,10 @@
 //! Hand-rolled property loops over the in-tree seeded PRNG — each
 //! property runs `CASES` deterministic cases.
 
-use rabit_devices::{DeviceId, DeviceState, LabState, StateKey, Value, Vial};
+use rabit_devices::{DeviceId, DeviceState, LabState, StateDiff, StateKey, Value, Vial};
 use rabit_geometry::Vec3;
 use rabit_util::{FromJson, Json, Rng, ToJson};
+use std::collections::{BTreeMap, BTreeSet};
 
 const CASES: usize = 256;
 
@@ -171,5 +172,241 @@ fn vial_contents_are_conserved() {
             assert!(vial.solid_mg() >= -1e-9);
             assert!(vial.solid_mg() <= 10.0 + 1e-9);
         }
+    }
+}
+
+/// The map-of-maps snapshot the sorted-vector `LabState` replaced, with
+/// its comparison and overlay written the lookup-based way: the
+/// reference the merge walks are checked against.
+mod reference {
+    use super::*;
+
+    pub type Lab = BTreeMap<DeviceId, BTreeMap<StateKey, Value>>;
+
+    pub fn of(state: &LabState) -> Lab {
+        state
+            .iter()
+            .map(|(id, d)| {
+                let vars = d.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+                (id.clone(), vars)
+            })
+            .collect()
+    }
+
+    fn get<'a>(lab: &'a Lab, id: &DeviceId, key: &StateKey) -> Option<&'a Value> {
+        lab.get(id).and_then(|d| d.get(key))
+    }
+
+    pub fn overlay(base: &mut Lab, reported: &Lab) {
+        for (id, vars) in reported {
+            let entry = base.entry(id.clone()).or_default();
+            for (key, value) in vars {
+                entry.insert(key.clone(), value.clone());
+            }
+        }
+    }
+
+    pub fn diff_reported(expected: &Lab, reported: &Lab, tol: f64) -> Vec<StateDiff> {
+        let mut out = Vec::new();
+        for (id, vars) in reported {
+            for (key, actual) in vars {
+                if let Some(e) = get(expected, id, key) {
+                    if !e.approx_eq(actual, tol) {
+                        out.push(StateDiff {
+                            device: id.clone(),
+                            key: key.clone(),
+                            left: Some(e.clone()),
+                            right: Some(actual.clone()),
+                        });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    pub fn diff(a: &Lab, b: &Lab, tol: f64) -> Vec<StateDiff> {
+        let mut out = Vec::new();
+        let ids: BTreeSet<&DeviceId> = a.keys().chain(b.keys()).collect();
+        for id in ids {
+            let keys: BTreeSet<&StateKey> = a
+                .get(id)
+                .into_iter()
+                .chain(b.get(id))
+                .flat_map(|d| d.keys())
+                .collect();
+            for key in keys {
+                let (va, vb) = (get(a, id, key), get(b, id, key));
+                let equal = match (va, vb) {
+                    (Some(x), Some(y)) => x.approx_eq(y, tol),
+                    _ => false,
+                };
+                if !equal {
+                    out.push(StateDiff {
+                        device: id.clone(),
+                        key: key.clone(),
+                        left: va.cloned(),
+                        right: vb.cloned(),
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// The JSON a map-of-maps snapshot serialises to.
+    pub fn json(lab: &Lab) -> String {
+        Json::Obj(
+            lab.iter()
+                .map(|(id, vars)| {
+                    let vars = vars
+                        .iter()
+                        .map(|(k, v)| (k.to_string(), v.to_json()))
+                        .collect();
+                    (id.to_string(), Json::Obj(vars))
+                })
+                .collect(),
+        )
+        .to_compact()
+    }
+}
+
+/// Device ids and keys are drawn from small pools so that two
+/// snapshots share most devices and variables.
+const IDS: [&str; 6] = ["arm", "doser", "hp", "vial_a", "vial_b", "zz_custom"];
+
+fn pooled_key(rng: &mut Rng) -> StateKey {
+    match rng.random_range(0..9u32) {
+        0 => StateKey::DoorOpen,
+        1 => StateKey::Holding,
+        2 => StateKey::Location,
+        3 => StateKey::ActionValue,
+        4 => StateKey::SolidMg,
+        5 => StateKey::Footprint,
+        6 => StateKey::Custom("occupied".into()),
+        7 => StateKey::Custom("door_a".into()),
+        _ => StateKey::Custom(lowercase_name(rng, 3)),
+    }
+}
+
+fn pooled_lab(rng: &mut Rng) -> LabState {
+    let mut lab = LabState::new();
+    for id in IDS {
+        if rng.random_bool(0.6) {
+            let n = rng.random_range(0..6usize);
+            let vars = (0..n).map(|_| (pooled_key(rng), value(rng))).collect();
+            lab.insert(id, vars);
+        }
+    }
+    lab
+}
+
+/// A value that contradicts `v` by about `tol`: exactly at the
+/// tolerance, just inside or just outside it, or of another kind.
+fn near(rng: &mut Rng, v: &Value, tol: f64) -> Value {
+    let step = match rng.random_range(0..4u32) {
+        0 => tol,
+        1 => tol * (1.0 - 1e-12),
+        2 => tol * (1.0 + 1e-12),
+        _ => return value(rng),
+    };
+    let sign = if rng.random_bool(0.5) { 1.0 } else { -1.0 };
+    match v {
+        Value::Number(n) => Value::Number(n + sign * step),
+        Value::Position(p) => Value::Position(*p + Vec3::new(0.0, sign * step, 0.0)),
+        Value::Bool(b) => Value::Bool(!b),
+        other => other.clone(),
+    }
+}
+
+/// A report against `expected`: each believed device is reported, with
+/// some of its variables unsensed (believed-only), some confirmed and
+/// some contradicted near `tol`; some devices exist on one side only.
+fn report_against(rng: &mut Rng, expected: &LabState, tol: f64) -> LabState {
+    let mut reported = pooled_lab(rng);
+    for (id, vars) in expected.iter() {
+        if rng.random_bool(0.2) {
+            continue; // believed-only device
+        }
+        let state = reported.device_mut(id);
+        for (key, v) in vars.iter() {
+            match rng.random_range(0..4u32) {
+                0 => {} // believed-only variable (or whatever the pool drew)
+                1 => state.set(key.clone(), v.clone()),
+                _ => state.set(key.clone(), near(rng, v, tol)),
+            }
+        }
+    }
+    reported
+}
+
+fn tolerance(rng: &mut Rng) -> f64 {
+    [0.0, 1e-6, 0.01, 0.5][rng.random_range(0..4usize)]
+}
+
+/// `diff_reported`, `overlay`, the fused `overlay_diff` and `diff` give
+/// exactly what the lookup-based reference gives on the map-of-maps
+/// model, difference for difference and value for value.
+#[test]
+fn merge_walks_match_the_map_reference() {
+    let mut rng = Rng::seed_from_u64(107);
+    for _ in 0..4 * CASES {
+        let tol = tolerance(&mut rng);
+        let expected = pooled_lab(&mut rng);
+        let reported = report_against(&mut rng, &expected, tol);
+        let (e, r) = (reference::of(&expected), reference::of(&reported));
+
+        let want = reference::diff_reported(&e, &r, tol);
+        assert_eq!(expected.diff_reported(&reported, tol), want);
+
+        let mut overlaid = e.clone();
+        reference::overlay(&mut overlaid, &r);
+        let mut merged = expected.clone();
+        merged.overlay(&reported);
+        // Compared as text, so the snapshot's order is checked too.
+        assert_eq!(merged.to_json().to_compact(), reference::json(&overlaid));
+
+        let mut fused = expected.clone();
+        assert_eq!(fused.overlay_diff(&reported, Some(tol)), want);
+        assert_eq!(fused, merged);
+        let mut unchecked = expected.clone();
+        assert!(unchecked.overlay_diff(&reported, None).is_empty());
+        assert_eq!(unchecked, merged);
+
+        assert_eq!(expected.diff(&reported, tol), reference::diff(&e, &r, tol));
+        assert_eq!(reported.diff(&expected, tol), reference::diff(&r, &e, tol));
+    }
+}
+
+/// `clone_from` into a buffer of any earlier shape yields exactly the
+/// source, for snapshots and single devices.
+#[test]
+fn buffer_reuse_copies_exactly() {
+    let mut rng = Rng::seed_from_u64(108);
+    let mut copy = pooled_lab(&mut rng);
+    let mut scratch = DeviceState::new();
+    for _ in 0..4 * CASES {
+        let source = pooled_lab(&mut rng);
+        copy.clone_from(&source);
+        assert_eq!(copy, source);
+        assert_eq!(reference::of(&copy), reference::of(&source));
+        for (_, device) in source.iter() {
+            scratch.clone_from(device);
+            assert_eq!(&scratch, device);
+        }
+    }
+}
+
+/// Snapshots serialise exactly as the map-of-maps model did, and a JSON
+/// round trip reproduces the text byte for byte.
+#[test]
+fn json_is_byte_identical_to_the_map_model() {
+    let mut rng = Rng::seed_from_u64(109);
+    for _ in 0..CASES {
+        let state = pooled_lab(&mut rng);
+        let json = state.to_json().to_compact();
+        assert_eq!(json, reference::json(&reference::of(&state)));
+        let back = LabState::from_json(&Json::parse(&json).unwrap()).unwrap();
+        assert_eq!(back.to_json().to_compact(), json);
     }
 }

@@ -15,7 +15,22 @@ use rabit_devices::{ActionKind, Command, DeviceId, LabState, StateKey, Substance
 /// produce a prediction (RABIT would have stopped them earlier; the
 /// transition function itself is not a safety check).
 pub fn expected_state(catalog: &DeviceCatalog, current: &LabState, command: &Command) -> LabState {
-    let mut next = current.clone();
+    let mut next = LabState::new();
+    expected_state_into(catalog, current, command, &mut next);
+    next
+}
+
+/// [`expected_state`] into a reused snapshot: `next` is overwritten with
+/// a copy of `current` (inside `next`'s own buffers, see
+/// [`LabState::clone_from`](Clone::clone_from)) and then takes the
+/// command's postconditions.
+pub fn expected_state_into(
+    catalog: &DeviceCatalog,
+    current: &LabState,
+    command: &Command,
+    next: &mut LabState,
+) {
+    next.clone_from(current);
     let actor = &command.actor;
     match &command.action {
         ActionKind::MoveToLocation { target } => {
@@ -87,10 +102,10 @@ pub fn expected_state(catalog: &DeviceCatalog, current: &LabState, command: &Com
             next.set(actor, StateKey::DoorOpen, *open);
         }
         ActionKind::DoseSolid { amount_mg, into } => {
-            add_substance(&mut next, into, Substance::Solid, *amount_mg);
+            add_substance(next, into, Substance::Solid, *amount_mg);
         }
         ActionKind::DoseLiquid { volume_ml, into } => {
-            add_substance(&mut next, into, Substance::Liquid, *volume_ml);
+            add_substance(next, into, Substance::Liquid, *volume_ml);
         }
         ActionKind::StartAction { value } => {
             next.set(actor, StateKey::ActionActive, true);
@@ -114,7 +129,7 @@ pub fn expected_state(catalog: &DeviceCatalog, current: &LabState, command: &Com
                     .flatten()
                     .cloned()
                 {
-                    add_substance(&mut next, &contained, Substance::Solid, *value);
+                    add_substance(next, &contained, Substance::Solid, *value);
                 }
             }
         }
@@ -136,8 +151,8 @@ pub fn expected_state(catalog: &DeviceCatalog, current: &LabState, command: &Com
             substance,
             amount,
         } => {
-            remove_substance(&mut next, from, *substance, *amount);
-            add_substance(&mut next, to, *substance, *amount);
+            remove_substance(next, from, *substance, *amount);
+            add_substance(next, to, *substance, *amount);
         }
         ActionKind::Custom { name, .. } => {
             // Multi-door actuation (the §V-C extension) has a declared
@@ -153,7 +168,6 @@ pub fn expected_state(catalog: &DeviceCatalog, current: &LabState, command: &Com
             // rely on malfunction checks of the variables they declare.
         }
     }
-    next
 }
 
 fn substance_keys(substance: Substance) -> (StateKey, StateKey) {
@@ -557,5 +571,30 @@ mod tests {
         let snapshot = s.clone();
         let _ = expected_state(&cat, &s, &Command::new("arm", ActionKind::MoveToSleep));
         assert_eq!(s, snapshot);
+    }
+
+    #[test]
+    fn in_place_transition_ignores_the_buffer_it_reuses() {
+        let cat = catalog();
+        let s = base();
+        let commands = [
+            Command::new("arm", ActionKind::MoveToSleep),
+            Command::new(
+                "arm",
+                ActionKind::PickObject {
+                    object: "vial".into(),
+                },
+            ),
+            Command::new("doser", ActionKind::SetDoor { open: true }),
+        ];
+        // A buffer holding an unrelated, larger snapshot.
+        let mut next = s.clone().with_device(
+            "zz_stale",
+            DeviceState::new().with(StateKey::DoorOpen, true),
+        );
+        for command in &commands {
+            expected_state_into(&cat, &s, command, &mut next);
+            assert_eq!(next, expected_state(&cat, &s, command));
+        }
     }
 }
