@@ -3,7 +3,7 @@
 
 use rabit_bench::timing::{bench, group};
 use rabit_geometry::Vec3;
-use rabit_kinematics::ik::{solve_position, IkParams};
+use rabit_kinematics::ik::{solve_position, IkError, IkParams};
 use rabit_kinematics::presets;
 use rabit_kinematics::trajectory::Trajectory;
 use std::hint::black_box;
@@ -21,6 +21,20 @@ fn main() {
     let target = arm.tool_position(&q0) + Vec3::new(0.05, 0.03, -0.04);
     bench("ik_solve_nearby", || {
         solve_position(&arm, &q0, black_box(target), &IkParams::default())
+    });
+    // The IK worst case: a ViperX target 0.82 m out, in guardbench
+    // cold_motion's outer band (0.76-0.84 m). It is inside the 0.95 m reach
+    // sphere but past what the chain can fold out to, so every restart
+    // iterates until it stalls or runs out.
+    let viperx = presets::viperx300();
+    let home = viperx.home_configuration();
+    let far = Vec3::new(0.76, 0.235, 0.2);
+    assert!(matches!(
+        solve_position(&viperx, &home, far, &IkParams::default()),
+        Err(IkError::NotConverged { .. })
+    ));
+    bench("ik_solve_cold_tail", || {
+        solve_position(&viperx, &home, black_box(far), &IkParams::default())
     });
 
     let traj = Trajectory::linear(q0, q1);

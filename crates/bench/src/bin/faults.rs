@@ -5,9 +5,12 @@
 //!
 //! * **detection rate** — fraction of faulted runs RABIT halts with one
 //!   of its own checks, under [`RecoveryPolicy::AlertImmediately`];
-//! * **recovery rate** — fraction of runs that complete once the engine
-//!   retries transient faults with exponential backoff
-//!   ([`RecoveryPolicy::Retry`]);
+//! * **retry pass** — the same sweep run again with the engine retrying
+//!   transient faults with exponential backoff ([`RecoveryPolicy::Retry`]):
+//!   `retry_recovered_runs` counts runs in which a retry recovered at least
+//!   one command, `retry_completion_rate` is the fraction of runs that
+//!   completed. Both describe this second pass, not the alert pass that
+//!   `detected_runs` comes from;
 //! * **guarded-throughput overhead** — wall-clock cost of the faulted
 //!   sweep relative to a clean sweep of the same size, plus the virtual
 //!   RABIT overhead per run (retry backoff included).
@@ -50,8 +53,8 @@ fn family_json(row: &FamilyRow, clean_wall_s: f64, clean_overhead_s: f64) -> Jso
         ("detected_runs", Json::Num(a.detected as f64)),
         ("detection_rate", Json::Num(a.detection_rate())),
         ("device_fault_runs", Json::Num(a.device_faults as f64)),
-        ("recovered_runs", Json::Num(r.recovered_runs as f64)),
-        ("recovery_rate", Json::Num(r.completion_rate())),
+        ("retry_recovered_runs", Json::Num(r.recovered_runs as f64)),
+        ("retry_completion_rate", Json::Num(r.completion_rate())),
         ("retries", Json::Num(r.recovery.retries as f64)),
         ("quarantined", Json::Num(r.recovery.quarantined as f64)),
         ("mean_overhead_seconds", Json::Num(r.mean_overhead_s)),
@@ -149,7 +152,7 @@ fn main() {
                 "family",
                 "injected",
                 "detect rate",
-                "recover rate",
+                "retry completion",
                 "retries",
                 "overhead s/run",
                 "wall vs clean"

@@ -3,7 +3,7 @@
 
 use crate::chain::{DhChain, JointConfig, JointLimits};
 use crate::sweep::MotionBound;
-use rabit_geometry::{Aabb, Capsule, Vec3};
+use rabit_geometry::{Aabb, Capsule, Pose, Vec3};
 
 /// The union of the capsules' axis-aligned bounds, or `None` for an empty
 /// set. This is the whole-arm probe of the certificate query: everything
@@ -140,7 +140,7 @@ impl ArmModel {
     }
 
     /// Remounts the arm at a different base pose.
-    pub fn with_base(mut self, base: rabit_geometry::Pose) -> Self {
+    pub fn with_base(mut self, base: Pose) -> Self {
         self.chain = self.chain.with_base(base);
         self
     }
@@ -177,8 +177,12 @@ impl ArmModel {
 
     /// World-space tool-center-point (gripper tip) for a configuration.
     pub fn tool_position(&self, config: &JointConfig) -> Vec3 {
-        let ee = self.chain.end_effector_pose(config.angles());
-        ee.transform_point(Vec3::new(0.0, 0.0, self.gripper_length))
+        self.tool_point(&self.chain.end_effector_pose(config.angles()))
+    }
+
+    /// The gripper tip given the world-space end-effector (flange) frame.
+    pub(crate) fn tool_point(&self, flange: &Pose) -> Vec3 {
+        flange.transform_point(Vec3::new(0.0, 0.0, self.gripper_length))
     }
 
     /// The world-space capsule set occupied by the arm in `config`:
@@ -211,7 +215,7 @@ impl ArmModel {
     /// `capsules_from_poses(&chain.joint_poses(q), …)`.
     pub fn capsules_from_poses(
         &self,
-        poses: &[rabit_geometry::Pose; 7],
+        poses: &[Pose; 7],
         held: Option<&HeldObject>,
         out: &mut Vec<Capsule>,
     ) {
@@ -224,7 +228,7 @@ impl ArmModel {
             ));
         }
         let wrist = poses[6].translation;
-        let tip = poses[6].transform_point(Vec3::new(0.0, 0.0, self.gripper_length));
+        let tip = self.tool_point(&poses[6]);
         let mut gripper = Capsule::new(wrist, tip, self.gripper_radius);
         if let Some(obj) = held {
             // Extend the gripper capsule along its axis by the held

@@ -16,7 +16,7 @@
 
 use crate::arm::ArmModel;
 use crate::chain::JointConfig;
-use rabit_geometry::Vec3;
+use rabit_geometry::{Pose, Vec3};
 
 /// Why inverse kinematics failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,8 +165,8 @@ fn solve_from(
     let mut best_err = f64::INFINITY;
 
     for _ in 0..params.max_iters {
-        let current = arm.tool_position(&q);
-        let e = target - current;
+        let frames = Frames::new(arm, &q);
+        let e = target - arm.tool_point(&frames.prefix[6]);
         let err = e.norm();
         if err < best_err {
             best_err = err;
@@ -176,7 +176,7 @@ fn solve_from(
             return Ok(q);
         }
 
-        let jac = position_jacobian(arm, &q, params.fd_step);
+        let jac = frames.position_jacobian(arm, &q, params.fd_step);
         // Error-adaptive damping: heavy far from the target (stability),
         // light near it (fast convergence instead of stalling).
         let lambda = (params.damping * err / (err + 0.02)).max(1e-4);
@@ -201,20 +201,55 @@ fn solve_from(
     }
 }
 
-/// Numeric 3×6 position Jacobian via central differences.
-fn position_jacobian(arm: &ArmModel, q: &JointConfig, h: f64) -> [[f64; 6]; 3] {
-    let mut jac = [[0.0; 6]; 3];
-    for j in 0..6 {
-        let qp = q.with_angle(j, q.angle(j) + h);
-        let qm = q.with_angle(j, q.angle(j) - h);
-        let dp = arm.tool_position(&qp);
-        let dm = arm.tool_position(&qm);
-        let grad = (dp - dm) / (2.0 * h);
-        jac[0][j] = grad.x;
-        jac[1][j] = grad.y;
-        jac[2][j] = grad.z;
+/// One forward-kinematics pass at `q`, kept factor by factor so the
+/// central-difference Jacobian can reuse it.
+///
+/// `links[k]` is the joint transform `T_k(q_k)` and `prefix[j]` is the
+/// world frame `base ∘ T_0 ∘ … ∘ T_{j-1}`, composed left to right exactly
+/// as [`DhChain::joint_poses`](crate::DhChain::joint_poses) does;
+/// `prefix[6]` is the end-effector frame.
+struct Frames {
+    links: [Pose; 6],
+    prefix: [Pose; 7],
+}
+
+impl Frames {
+    fn new(arm: &ArmModel, q: &JointConfig) -> Self {
+        let chain = arm.chain();
+        let mut links = [Pose::IDENTITY; 6];
+        let mut prefix = [*chain.base(); 7];
+        for (k, p) in chain.params().iter().enumerate() {
+            links[k] = p.transform(q.angle(k));
+            prefix[k + 1] = prefix[k].compose(&links[k]);
+        }
+        Frames { links, prefix }
     }
-    jac
+
+    /// Tool position with joint `j` turned to `theta` and every other joint
+    /// at `q`: `P_j ∘ T_j(theta) ∘ T_{j+1} ∘ … ∘ T_5`, composed left to
+    /// right. The prefix `P_j` does not depend on joint `j`, so this is
+    /// bit-for-bit `arm.tool_position(&q.with_angle(j, theta))`.
+    fn tool_position_turned(&self, arm: &ArmModel, j: usize, theta: f64) -> Vec3 {
+        let mut acc = self.prefix[j].compose(&arm.chain().params()[j].transform(theta));
+        for link in &self.links[j + 1..] {
+            acc = acc.compose(link);
+        }
+        arm.tool_point(&acc)
+    }
+
+    /// Numeric 3×6 position Jacobian via central differences.
+    fn position_jacobian(&self, arm: &ArmModel, q: &JointConfig, h: f64) -> [[f64; 6]; 3] {
+        let mut jac = [[0.0; 6]; 3];
+        for j in 0..6 {
+            let dp = self.tool_position_turned(arm, j, q.angle(j) + h);
+            let dm = self.tool_position_turned(arm, j, q.angle(j) - h);
+            let grad = (dp - dm) / (2.0 * h);
+            jac[0][j] = grad.x;
+            jac[1][j] = grad.y;
+            jac[2][j] = grad.z;
+        }
+        jac
+    }
 }
 
 /// One damped-least-squares step: `Δq = Jᵀ (J Jᵀ + λ² I)⁻¹ e`.
@@ -373,7 +408,17 @@ mod tests {
     fn jacobian_matches_finite_difference_of_tool_position() {
         let arm = presets::ur3e();
         let q = arm.home_configuration();
-        let jac = position_jacobian(&arm, &q, 1e-6);
+        let jac = Frames::new(&arm, &q).position_jacobian(&arm, &q, 1e-6);
+        // Each column is bit-for-bit the central difference of two full FK
+        // passes: reusing the frame prefix changes no rounding.
+        for j in 0..6 {
+            let dp = arm.tool_position(&q.with_angle(j, q.angle(j) + 1e-6));
+            let dm = arm.tool_position(&q.with_angle(j, q.angle(j) - 1e-6));
+            let grad = (dp - dm) / (2.0 * 1e-6);
+            for (r, g) in [grad.x, grad.y, grad.z].into_iter().enumerate() {
+                assert_eq!(jac[r][j].to_bits(), g.to_bits(), "entry ({r}, {j})");
+            }
+        }
         // Column 0 should predict the motion caused by a small joint-0 turn.
         let dq = 1e-4;
         let q2 = q.with_angle(0, q.angle(0) + dq);
